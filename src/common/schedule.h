@@ -20,7 +20,7 @@
 //   kInterleaved    — interleaved virtual stages (Megatron-style, cf. BaPipe): a straight
 //                     plan of S = k * W chunk-stages where physical worker w = s mod W owns
 //                     k non-contiguous chunks and serializes their work under a static
-//                     1F1B-derived schedule (src/schedule/interleaved.h). Per-chunk
+//                     1F1B-derived op list (src/schedule/op_list.h). Per-chunk
 //                     semantics (weight modes, updates) are exactly 1F1B's; k = 1 is
 //                     bitwise-identical to kOneFOneB.
 #ifndef SRC_COMMON_SCHEDULE_H_
@@ -40,9 +40,10 @@ enum class ScheduleKind {
 };
 
 // Schedules that drain the pipeline and apply one aggregated update per round of m
-// microbatches (kGPipe, kModelParallel, kPipeDreamFlush). They share the flush barrier,
-// the round-gated admission, and the kNaive weight discipline — within a round no update
-// commits between a minibatch's forward and backward, so versioning is unnecessary.
+// microbatches (kGPipe, kModelParallel, kPipeDreamFlush). They share the Flush op that ends
+// each round of their op lists, the drain barrier it waits at, and the kNaive weight
+// discipline — within a round no update commits between a minibatch's forward and
+// backward, so versioning is unnecessary.
 bool IsFlushFamily(ScheduleKind kind);
 
 const char* ScheduleKindName(ScheduleKind kind);

@@ -89,8 +89,8 @@ class Mailbox {
     cv_.notify_one();
   }
 
-  // Signals that external state consulted by the owner's wait predicate changed (flush
-  // barriers, stop flags, admission tokens). Must be called *after* that state is visible.
+  // Signals that external state consulted by the owner's wait predicate changed (abort and
+  // stop flags). Must be called *after* that state is visible.
   void Poke() {
     {
       std::lock_guard<std::mutex> lock(mutex_);

@@ -97,21 +97,17 @@ struct PipelineTrainer::StageRuntime {
   std::atomic<bool> dead{false};
 
   // --- per-epoch state (owned by the worker thread during an epoch)
-  std::unique_ptr<SchedulingPolicy> policy;
   int64_t epoch_begin = 0;
   int64_t epoch_end = 0;
   int64_t next_admission = 0;
   int64_t next_forward = 0;   // next minibatch to consume from the forward queue
   int64_t next_backward = 0;  // next minibatch to consume from the backward queue
-  int in_flight = 0;
-  int admission_cap = 1;
-  int64_t bwd_quota = 0;
+  int64_t bwd_quota = 0;      // minibatches of [epoch_begin, epoch_end) in this rotation slot
   int64_t bwd_done = 0;
-  int64_t fwd_started = 0;
-  int gpipe_round_bwd = 0;
   std::map<int64_t, ModelContext> contexts;
   std::map<int64_t, Tensor> recompute_inputs;  // stage inputs kept for recomputation
-  int accumulated = 0;  // backwards since the last optimizer step (gradient accumulation)
+  // Backwards since the last optimizer step (the gradient-accumulation or flush round).
+  int accumulated = 0;
 
   // --- metrics
   double loss_sum = 0.0;
@@ -150,21 +146,11 @@ struct PipelineTrainer::StageRuntime {
     }
   }
 
-  void PrepareEpoch(int64_t begin, int64_t end, const PipelineTrainerOptions& options,
-                    const PipelinePlan& plan);
-  void RunEpoch();
+  void PrepareEpoch(int64_t begin, int64_t end);
   void DoForward(int64_t minibatch, PipeMessage message);
   void DoBackward(PipeMessage message);
-  bool GPipeMode() const {
-    // Round-gated admission, per-round gradient aggregation, and the flush barrier are
-    // shared by the whole flush family; kInterleaved is per-chunk 1F1B and stays out.
-    return IsFlushFamily(trainer->options_.schedule);
-  }
-  int GPipeRoundSize() const {
-    return trainer->options_.schedule == ScheduleKind::kModelParallel
-               ? 1
-               : trainer->options_.gpipe_microbatches;
-  }
+  // The Flush op ending a flush-family round: one aggregated update, then the drain barrier.
+  void Flush();
 };
 
 PipelineTrainer::PipelineTrainer(const Sequential& model, const PipelinePlan& plan,
@@ -381,28 +367,9 @@ PipelineTrainer::StageRuntime* PipelineTrainer::ActiveRuntime(int stage) const {
   return active[0];
 }
 
-void PipelineTrainer::StageRuntime::PrepareEpoch(int64_t begin, int64_t end,
-                                                 const PipelineTrainerOptions& options,
-                                                 const PipelinePlan& plan) {
+void PipelineTrainer::StageRuntime::PrepareEpoch(int64_t begin, int64_t end) {
   epoch_begin = begin;
   epoch_end = end;
-  if (options.schedule == ScheduleKind::kOneFOneB) {
-    admission_cap = StartupDepth(plan, stage);
-    policy = std::make_unique<OneFOneBPolicy>(admission_cap);
-  } else if (options.schedule == ScheduleKind::kInterleaved) {
-    // The statically generated op list (RunWorkerInterleaved) is the schedule; the policy
-    // object is never consulted. The list scheduler caps stage-0 admissions at num_stages.
-    admission_cap = plan.num_stages();
-    policy = std::make_unique<OneFOneBPolicy>(admission_cap);
-  } else if (options.schedule == ScheduleKind::kPipeDreamFlush) {
-    // 1F1B order within each round of m, then the same drain + aggregated update as GPipe.
-    admission_cap = GPipeRoundSize();
-    policy =
-        std::make_unique<PipeDreamFlushPolicy>(StartupDepth(plan, stage), GPipeRoundSize());
-  } else {
-    admission_cap = GPipeRoundSize();
-    policy = std::make_unique<GPipePolicy>(GPipeRoundSize());
-  }
   // First minibatch in [begin, end) owned by this replica's rotation slot. `begin` is not
   // necessarily a multiple of rr_size (a degraded rotation is smaller than the plan's), so
   // align on the residue rather than assuming begin + rr_rank.
@@ -411,125 +378,11 @@ void PipelineTrainer::StageRuntime::PrepareEpoch(int64_t begin, int64_t end,
   next_admission = first;
   next_forward = first;
   next_backward = first;
-  in_flight = 0;
-  gpipe_round_bwd = 0;
   bwd_done = 0;
-  fwd_started = 0;
   bwd_quota = first < end ? (end - first + rr_size - 1) / rr_size : 0;
   contexts.clear();
   recompute_inputs.clear();
   accumulated = 0;
-}
-
-void PipelineTrainer::StageRuntime::RunEpoch() {
-  const auto tick = std::chrono::milliseconds(trainer->recovery_.worker_tick_ms);
-  Beat();
-  while (bwd_done < bwd_quota) {
-    ThrowIfEpochAborted();
-    std::optional<WorkType> action;
-    const auto ready = [&](int64_t min_fwd, int64_t min_bwd) {
-      // A minibatch is ready only when it is the NEXT one in this replica's round-robin
-      // share. Out-of-order arrivals (possible whenever a neighbouring stage is replicated)
-      // are held back, so every replica consumes work in a schedule-determined order and the
-      // training trajectory is independent of thread timing.
-      int ready_fwd = min_fwd == next_forward ? 1 : 0;
-      if (is_input) {
-        bool admit = next_admission < epoch_end && in_flight < admission_cap;
-        if (GPipeMode()) {
-          // Admit only the current flush round's microbatches.
-          const int64_t round = (next_admission - epoch_begin) / GPipeRoundSize();
-          const int64_t done_rounds = bwd_done / GPipeRoundSize();
-          admit = next_admission < epoch_end && round <= done_rounds;
-        }
-        ready_fwd = admit ? 1 : 0;
-      }
-      const int ready_bwd = min_bwd == next_backward ? 1 : 0;
-      const bool exhausted = is_input ? next_admission >= epoch_end : fwd_started == bwd_quota;
-      action = policy->Decide(ready_fwd, ready_bwd, exhausted);
-      return action.has_value();
-    };
-    // Deadline-bounded wait: regain control every tick to heartbeat and observe aborts, so
-    // a dead upstream can never wedge this worker forever.
-    const int64_t wait_begin_ns = obs::TraceClockNs();
-    while (!mailbox->WaitUntilFor(ready, tick)) {
-      Beat();
-      ThrowIfEpochAborted();
-    }
-    Beat();
-    const int64_t waited_ns = obs::TraceClockNs() - wait_begin_ns;
-    PD_CHECK(action.has_value());
-    if (waited_ns > 10'000) {  // ignore sub-10µs predicate churn; count real starvation
-      epoch_stall_ns += waited_ns;
-      // Attribute the bubble by what finally unblocked us: waiting on a forward from a
-      // neighbour means the *upstream* was late (starvation); waiting to be allowed to
-      // admit, or for a gradient to come back, means the *downstream* side of the loop is
-      // the bottleneck (backpressure). Weight-sync and recovery bubbles are attributed at
-      // their own sites, not here.
-      const obs::StallCause cause = (*action == WorkType::kForward && !is_input)
-                                        ? obs::StallCause::kStarvedUpstream
-                                        : obs::StallCause::kBackpressuredDownstream;
-      obs::RecordSpan(obs::StallCauseSpanName(cause), wait_begin_ns, waited_ns, stage);
-      trainer->bubbles_->Add(stage, cause, waited_ns);
-    }
-
-    // Consult the fault plan with the minibatch this action is about to process.
-    if (FaultInjector* injector = trainer->injector_) {
-      const int64_t pending = *action == WorkType::kForward
-                                  ? (is_input ? next_admission : next_forward)
-                                  : next_backward;
-      const FaultInjector::WorkerAction fate =
-          injector->OnWorkStart(stage, replica, pending, *action);
-      if (fate.kill) {
-        throw WorkerKilledError{fate.reason};
-      }
-      if (fate.stall_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(fate.stall_ms));
-        Beat();
-      }
-    }
-
-    if (*action == WorkType::kForward) {
-      PipeMessage message;
-      int64_t minibatch;
-      if (is_input) {
-        minibatch = next_admission;
-        next_admission += rr_size;
-        ++in_flight;
-        loader->BatchAt(minibatch, &message.payload, &message.targets);
-        message.input_version = weights->version();
-      } else {
-        std::optional<PipeMessage> taken = mailbox->Take(WorkType::kForward);
-        PD_CHECK(taken.has_value());
-        PD_CHECK_EQ(taken->minibatch, next_forward);
-        if (!VerifyChecksum(*taken)) {
-          throw MessageCorruptionError{
-              StrFormat("forward payload for minibatch %lld failed its checksum at stage %d",
-                        static_cast<long long>(taken->minibatch), stage)};
-        }
-        minibatch = taken->minibatch;
-        message = std::move(*taken);
-        next_forward += rr_size;
-      }
-      policy->OnStarted(WorkType::kForward);
-      ++fwd_started;
-      DoForward(minibatch, std::move(message));
-    } else {
-      std::optional<PipeMessage> taken = mailbox->Take(WorkType::kBackward);
-      PD_CHECK(taken.has_value());
-      PD_CHECK_EQ(taken->minibatch, next_backward);
-      if (!VerifyChecksum(*taken)) {
-        throw MessageCorruptionError{
-            StrFormat("backward payload for minibatch %lld failed its checksum at stage %d",
-                      static_cast<long long>(taken->minibatch), stage)};
-      }
-      next_backward += rr_size;
-      policy->OnStarted(WorkType::kBackward);
-      DoBackward(std::move(*taken));
-    }
-    work_items.fetch_add(1, std::memory_order_release);
-    Beat();
-  }
-  Beat();
 }
 
 void PipelineTrainer::StageRuntime::DoForward(int64_t minibatch, PipeMessage message) {
@@ -619,20 +472,17 @@ void PipelineTrainer::StageRuntime::DoBackward(PipeMessage message) {
         << "backward for minibatch " << minibatch << " without a stashed forward context";
     ctx = &ctx_it->second;
   }
-  const bool gpipe = GPipeMode();
-  const int accumulation = trainer->options_.accumulation_steps;
-  if (!gpipe) {
-    if (accumulated == 0) {
-      model->ZeroGrads();
-    }
-  } else if (gpipe_round_bwd == 0) {
-    model->ZeroGrads();  // gradients aggregate across the round's microbatches
+  if (accumulated == 0) {
+    model->ZeroGrads();  // gradients aggregate across the accumulation / flush round
   }
   Tensor grad_in = model->Backward(message.payload, ctx);
   contexts.erase(minibatch);
   weights->EndBackward(minibatch);
 
-  if (!gpipe) {
+  // Flush-family rounds update at their Flush op; 1F1B-family stages every
+  // `accumulation_steps` backwards.
+  const int accumulation = trainer->options_.accumulation_steps;
+  if (!IsFlushFamily(trainer->options_.schedule)) {
     if (++accumulated >= accumulation) {
       if (accumulation > 1) {
         const float inv = 1.0f / static_cast<float>(accumulation);
@@ -683,43 +533,7 @@ void PipelineTrainer::StageRuntime::DoBackward(PipeMessage message) {
       accumulated = 0;
     }
   } else {
-    ++gpipe_round_bwd;
-    const int64_t remaining = epoch_end - (minibatch - minibatch % GPipeRoundSize());
-    const int round_size = static_cast<int>(std::min<int64_t>(GPipeRoundSize(), remaining));
-    if (gpipe_round_bwd == round_size) {
-      // End of round: apply the aggregated update, then wait at the pipeline flush.
-      const float inv = 1.0f / static_cast<float>(round_size);
-      for (Parameter* p : params) {
-        Scale(&p->grad, inv);
-      }
-      {
-        ScopedHistTimer step_timer(step_hist);
-        PD_TRACE_SPAN("step", stage, minibatch);
-        weights->BeginUpdate();  // no-op: GPipe-family schedules force kNaive
-        optimizer->Step(params);
-        weights->CommitUpdate();
-      }
-      peak_materialized_stash_bytes =
-          std::max(peak_materialized_stash_bytes, weights->MaterializedStashBytes());
-      gpipe_round_bwd = 0;
-      ++bwd_done;  // count before blocking so quotas stay consistent
-      if (stage > 0) {
-        PipeMessage backward;
-        backward.minibatch = minibatch;
-        backward.type = WorkType::kBackward;
-        backward.payload = std::move(grad_in);
-        backward.trace_id = flow;
-        trainer->Send(this, stage - 1, std::move(backward));
-      } else {
-        --in_flight;
-      }
-      if (!trainer->flush_barrier_->Arrive()) {
-        throw EpochAbortedError{};
-      }
-      static_cast<RoundPolicy*>(policy.get())->OnFlushComplete();
-      mailbox->Poke();
-      return;
-    }
+    ++accumulated;
   }
 
   ++bwd_done;
@@ -730,17 +544,35 @@ void PipelineTrainer::StageRuntime::DoBackward(PipeMessage message) {
     backward.payload = std::move(grad_in);
     backward.trace_id = flow;
     trainer->Send(this, stage - 1, std::move(backward));
-  } else {
-    --in_flight;
   }
 }
 
-void PipelineTrainer::RunWorkerInterleaved(const std::vector<StageRuntime*>& owned,
-                                           const std::vector<ChunkOp>& ops,
-                                           StageRuntime** current) {
-  const int physical_workers = plan_.num_stages() / options_.interleave_chunks;
+void PipelineTrainer::StageRuntime::Flush() {
+  // The round's gradients averaged over its minibatches (a short final round has fewer).
+  PD_CHECK_GT(accumulated, 0) << "flush at stage " << stage << " after an empty round";
+  const float inv = 1.0f / static_cast<float>(accumulated);
+  for (Parameter* p : params) {
+    Scale(&p->grad, inv);
+  }
+  {
+    ScopedHistTimer step_timer(step_hist);
+    PD_TRACE_SPAN("step", stage, next_backward - rr_size);
+    weights->BeginUpdate();  // no-op: flush-family schedules force kNaive
+    optimizer->Step(params);
+    weights->CommitUpdate();
+  }
+  peak_materialized_stash_bytes =
+      std::max(peak_materialized_stash_bytes, weights->MaterializedStashBytes());
+  accumulated = 0;
+  if (!trainer->flush_barrier_->Arrive()) {
+    throw EpochAbortedError{};
+  }
+}
+
+void PipelineTrainer::RunWorker(const std::vector<StageRuntime*>& owned,
+                                const std::vector<ScheduleOp>& ops, StageRuntime** current) {
   const auto tick = std::chrono::milliseconds(recovery_.worker_tick_ms);
-  // The watchdog tracks heartbeats per chunk runtime; a worker waiting on one chunk must
+  // The watchdog tracks heartbeats per stage runtime; a worker waiting on one chunk must
   // not let its other chunks look dead.
   const auto beat_all = [&owned] {
     for (StageRuntime* rt : owned) {
@@ -748,19 +580,32 @@ void PipelineTrainer::RunWorkerInterleaved(const std::vector<StageRuntime*>& own
     }
   };
   beat_all();
-  for (const ChunkOp& op : ops) {
-    // Executing the generated list strictly in order is what makes interleaving both
-    // deadlock-free (the list is a feasible execution) and bitwise-deterministic (each op
-    // consumes exactly one schedule-determined message, regardless of thread timing).
-    StageRuntime* rt = owned[static_cast<size_t>(op.stage / physical_workers)];
+  for (const ScheduleOp& op : ops) {
+    // Executing the list strictly in order is what makes every schedule deadlock-free (the
+    // list is a feasible execution) and bitwise-deterministic (each op consumes exactly one
+    // schedule-determined message, regardless of thread timing).
+    StageRuntime* rt = *std::find_if(owned.begin(), owned.end(), [&op](const StageRuntime* o) {
+      return o->stage == op.stage;
+    });
     *current = rt;
     rt->ThrowIfEpochAborted();
-    const bool is_fwd = op.type == WorkType::kForward;
+    if (op.type == OpType::kFlush) {
+      rt->Flush();
+      beat_all();
+      continue;
+    }
+    const bool is_fwd = op.type == OpType::kForward;
+    const WorkType type = is_fwd ? WorkType::kForward : WorkType::kBackward;
     const int64_t wait_begin_ns = obs::TraceClockNs();
     if (!(is_fwd && rt->is_input)) {
+      // A minibatch is ready only when it is the NEXT one in this replica's round-robin
+      // share. Out-of-order arrivals (possible whenever a neighbouring stage is replicated)
+      // are held back, so every replica consumes work in a schedule-determined order.
       const auto ready = [&](int64_t min_fwd, int64_t min_bwd) {
         return is_fwd ? min_fwd == rt->next_forward : min_bwd == rt->next_backward;
       };
+      // Deadline-bounded wait: regain control every tick to heartbeat and observe aborts,
+      // so a dead upstream can never wedge this worker forever.
       while (!rt->mailbox->WaitUntilFor(ready, tick)) {
         beat_all();
         rt->ThrowIfEpochAborted();
@@ -768,19 +613,24 @@ void PipelineTrainer::RunWorkerInterleaved(const std::vector<StageRuntime*>& own
     }
     beat_all();
     const int64_t waited_ns = obs::TraceClockNs() - wait_begin_ns;
-    if (waited_ns > 10'000) {
+    if (waited_ns > 10'000) {  // ignore sub-10µs predicate churn; count real starvation
       rt->epoch_stall_ns += waited_ns;
+      // Attribute the bubble by what we waited for: a forward from a neighbour means the
+      // *upstream* was late (starvation); a gradient coming back means the *downstream*
+      // side of the loop is the bottleneck (backpressure). Weight-sync and recovery bubbles
+      // are attributed at their own sites, not here.
       const obs::StallCause cause = (is_fwd && !rt->is_input)
                                         ? obs::StallCause::kStarvedUpstream
                                         : obs::StallCause::kBackpressuredDownstream;
       obs::RecordSpan(obs::StallCauseSpanName(cause), wait_begin_ns, waited_ns, rt->stage);
       bubbles_->Add(rt->stage, cause, waited_ns);
     }
+    // Consult the fault plan with the minibatch this op is about to process.
     if (injector_ != nullptr) {
       const int64_t pending = is_fwd ? (rt->is_input ? rt->next_admission : rt->next_forward)
                                      : rt->next_backward;
       const FaultInjector::WorkerAction fate =
-          injector_->OnWorkStart(rt->stage, rt->replica, pending, op.type);
+          injector_->OnWorkStart(rt->stage, rt->replica, pending, type);
       if (fate.kill) {
         throw WorkerKilledError{fate.reason};
       }
@@ -789,48 +639,38 @@ void PipelineTrainer::RunWorkerInterleaved(const std::vector<StageRuntime*>& own
         beat_all();
       }
     }
-    if (is_fwd) {
+    if (is_fwd && rt->is_input) {
       PipeMessage message;
-      int64_t minibatch;
-      if (rt->is_input) {
-        minibatch = rt->next_admission;
-        rt->next_admission += 1;  // interleaved plans are unreplicated: rr_size == 1
-        ++rt->in_flight;
-        rt->loader->BatchAt(minibatch, &message.payload, &message.targets);
-        message.input_version = rt->weights->version();
-      } else {
-        std::optional<PipeMessage> taken = rt->mailbox->Take(WorkType::kForward);
-        PD_CHECK(taken.has_value());
-        PD_CHECK_EQ(taken->minibatch, rt->next_forward);
-        if (!VerifyChecksum(*taken)) {
-          throw MessageCorruptionError{StrFormat(
-              "forward payload for minibatch %lld failed its checksum at stage %d",
-              static_cast<long long>(taken->minibatch), rt->stage)};
-        }
-        minibatch = taken->minibatch;
-        message = std::move(*taken);
-        rt->next_forward += 1;
-      }
-      ++rt->fwd_started;
+      const int64_t minibatch = rt->next_admission;
+      rt->next_admission += rt->rr_size;
+      rt->loader->BatchAt(minibatch, &message.payload, &message.targets);
+      message.input_version = rt->weights->version();
       rt->DoForward(minibatch, std::move(message));
     } else {
-      std::optional<PipeMessage> taken = rt->mailbox->Take(WorkType::kBackward);
+      int64_t& next = is_fwd ? rt->next_forward : rt->next_backward;
+      std::optional<PipeMessage> taken = rt->mailbox->Take(type);
       PD_CHECK(taken.has_value());
-      PD_CHECK_EQ(taken->minibatch, rt->next_backward);
+      PD_CHECK_EQ(taken->minibatch, next);
       if (!VerifyChecksum(*taken)) {
-        throw MessageCorruptionError{StrFormat(
-            "backward payload for minibatch %lld failed its checksum at stage %d",
-            static_cast<long long>(taken->minibatch), rt->stage)};
+        throw MessageCorruptionError{
+            StrFormat("%s payload for minibatch %lld failed its checksum at stage %d",
+                      is_fwd ? "forward" : "backward",
+                      static_cast<long long>(taken->minibatch), rt->stage)};
       }
-      rt->next_backward += 1;
-      rt->DoBackward(std::move(*taken));
+      next += rt->rr_size;
+      if (is_fwd) {
+        const int64_t minibatch = taken->minibatch;
+        rt->DoForward(minibatch, std::move(*taken));
+      } else {
+        rt->DoBackward(std::move(*taken));
+      }
     }
     rt->work_items.fetch_add(1, std::memory_order_release);
     beat_all();
   }
   for (StageRuntime* rt : owned) {
     PD_CHECK_EQ(rt->bwd_done, rt->bwd_quota)
-        << "interleaved worker finished its op list with stage " << rt->stage << " short";
+        << "worker finished its op list with stage " << rt->stage << " short";
   }
 }
 
@@ -953,7 +793,7 @@ bool PipelineTrainer::RunRange(int64_t begin, int64_t end, EpochStats* stats) {
   for (StageRuntime* rt : active) {
     // Messages in flight when a previous attempt aborted must not leak into this one.
     rt->mailbox->Clear();
-    rt->PrepareEpoch(begin, end, options_, plan_);
+    rt->PrepareEpoch(begin, end);
     rt->loss_sum = 0.0;
     rt->loss_count = 0;
     rt->epoch_stall_ns = 0;
@@ -971,72 +811,64 @@ bool PipelineTrainer::RunRange(int64_t begin, int64_t end, EpochStats* stats) {
     flush_barrier_->Reset();
   }
 
-  const double start = NowSeconds();
+  // Regenerate every worker's op list from the live rotation: the survivors of a degraded
+  // stage split its minibatches, and an ejected replica gets no list at all.
+  std::vector<std::vector<int64_t>> quotas;
+  for (const auto& stage_active : active_by_stage_) {
+    std::vector<int64_t>& stage_quotas = quotas.emplace_back();
+    for (StageRuntime* rt : stage_active) {
+      stage_quotas.push_back(rt->bwd_quota);
+    }
+  }
+  OpListOptions list_options;
+  list_options.kind = options_.schedule;
+  list_options.round_size = options_.gpipe_microbatches;
+  list_options.chunks = options_.interleave_chunks;
+  std::vector<std::vector<ScheduleOp>> lists = BuildOpLists(list_options, plan_, quotas);
+  // The runtimes each list drives: one stage replica, or under kInterleaved the chunk-stages
+  // s = w, W + w, ... of physical worker w.
   const bool interleaved = options_.schedule == ScheduleKind::kInterleaved;
-  const int physical_workers =
-      interleaved ? plan_.num_stages() / options_.interleave_chunks : 0;
-  // Every stage replica runs kernels concurrently (one thread per PHYSICAL worker under
-  // kInterleaved, which serializes its chunks); split the shared pool's parallelism between
-  // them so intra-op threading never oversubscribes the machine.
-  const int kernel_budget = KernelBudgetForWorkers(
-      interleaved ? physical_workers : static_cast<int>(active.size()));
+  std::vector<std::vector<StageRuntime*>> owners(lists.size());
+  const int workers = static_cast<int>(lists.size());
+  for (size_t i = 0; i < active.size(); ++i) {
+    const int w = interleaved ? InterleavedWorkerOfStage(active[i]->stage, workers)
+                              : static_cast<int>(i);
+    owners[static_cast<size_t>(w)].push_back(active[i]);
+  }
+
+  const double start = NowSeconds();
+  // Every list runs kernels concurrently; split the shared pool's parallelism between them
+  // so intra-op threading never oversubscribes the machine.
+  const int kernel_budget = KernelBudgetForWorkers(workers);
   std::vector<std::thread> threads;
-  if (interleaved) {
-    const std::vector<std::vector<ChunkOp>> ops = BuildInterleavedSchedule(
-        plan_.num_stages(), options_.interleave_chunks, end - begin);
-    threads.reserve(static_cast<size_t>(physical_workers));
-    for (int w = 0; w < physical_workers; ++w) {
-      std::vector<StageRuntime*> owned;
-      for (int s = w; s < plan_.num_stages(); s += physical_workers) {
-        owned.push_back(ActiveRuntime(s));
+  threads.reserve(lists.size());
+  for (size_t w = 0; w < lists.size(); ++w) {
+    threads.emplace_back([this, w, interleaved, owned = std::move(owners[w]),
+                          ops = std::move(lists[w]), kernel_budget] {
+      ScopedKernelBudget budget(kernel_budget);
+      StageRuntime* current = owned.front();
+      obs::SetThreadLabel(interleaved ? StrFormat("w%zu", w)
+                                      : StrFormat("s%d/r%d", current->stage, current->replica));
+      const auto finish_all = [&owned] {
+        for (StageRuntime* rt : owned) {
+          rt->done.store(true, std::memory_order_release);
+        }
+      };
+      try {
+        RunWorker(owned, ops, &current);
+        finish_all();
+      } catch (const WorkerKilledError& killed) {
+        current->dead.store(true, std::memory_order_release);
+        NoteFailure(current, killed.reason);
+      } catch (const MessageCorruptionError& corrupt) {
+        // The receiver of a corrupt payload is healthy; the minibatch it rejected is what
+        // needs replaying.
+        finish_all();
+        NoteFailure(current, corrupt.reason);
+      } catch (const EpochAbortedError&) {
+        finish_all();
       }
-      std::vector<ChunkOp> worker_ops = ops[static_cast<size_t>(w)];
-      threads.emplace_back([this, w, owned = std::move(owned),
-                            worker_ops = std::move(worker_ops), kernel_budget] {
-        ScopedKernelBudget budget(kernel_budget);
-        obs::SetThreadLabel(StrFormat("w%d", w));
-        StageRuntime* current = owned.front();
-        const auto finish_all = [&owned] {
-          for (StageRuntime* rt : owned) {
-            rt->done.store(true, std::memory_order_release);
-          }
-        };
-        try {
-          RunWorkerInterleaved(owned, worker_ops, &current);
-          finish_all();
-        } catch (const WorkerKilledError& killed) {
-          current->dead.store(true, std::memory_order_release);
-          NoteFailure(current, killed.reason);
-        } catch (const MessageCorruptionError& corrupt) {
-          finish_all();
-          NoteFailure(current, corrupt.reason);
-        } catch (const EpochAbortedError&) {
-          finish_all();
-        }
-      });
-    }
-  } else {
-    threads.reserve(active.size());
-    for (StageRuntime* rt : active) {
-      threads.emplace_back([this, rt, kernel_budget] {
-        ScopedKernelBudget budget(kernel_budget);
-        obs::SetThreadLabel(StrFormat("s%d/r%d", rt->stage, rt->replica));
-        try {
-          rt->RunEpoch();
-          rt->done.store(true, std::memory_order_release);
-        } catch (const WorkerKilledError& killed) {
-          rt->dead.store(true, std::memory_order_release);
-          NoteFailure(rt, killed.reason);
-        } catch (const MessageCorruptionError& corrupt) {
-          // The receiver of a corrupt payload is healthy; the minibatch it rejected is what
-          // needs replaying.
-          rt->done.store(true, std::memory_order_release);
-          NoteFailure(rt, corrupt.reason);
-        } catch (const EpochAbortedError&) {
-          rt->done.store(true, std::memory_order_release);
-        }
-      });
-    }
+    });
   }
 
   // The watchdog classifies two failure shapes the workers cannot self-report: a worker

@@ -1,11 +1,11 @@
 // Multi-threaded pipeline-parallel training runtime.
 //
 // One OS thread per stage replica plays the role of a GPU worker: it owns a deep copy of its
-// stage's layers, an optimizer, a versioned weight store, and a scheduling policy from the
-// zoo of docs/SCHEDULES.md (1F1B, GPipe, PipeDream-Flush, interleaved virtual stages), and
-// exchanges activations/gradients with neighbouring stages through mailboxes. Under
-// kInterleaved one thread per *physical worker* instead serializes that worker's chunk-stage
-// runtimes in a statically generated order (src/schedule/interleaved.h). This is the
+// stage's layers, an optimizer, and a versioned weight store, executes its static op list
+// for the chosen entry of the schedule zoo (docs/SCHEDULES.md; src/schedule/op_list.h)
+// strictly in order, and exchanges activations/gradients with neighbouring stages through
+// mailboxes. Under kInterleaved one thread per *physical worker* instead runs a list that
+// serializes that worker's chunk-stage runtimes. This is the
 // real-numerics counterpart of the cluster simulator: identical minibatch streams can be
 // trained under 1F1B + weight stashing, naive pipelining, vertical sync, GPipe, flush, or
 // BSP data parallelism (a single replicated stage), making statistical-efficiency
@@ -43,8 +43,7 @@
 #include "src/runtime/mailbox.h"
 #include "src/runtime/transport.h"
 #include "src/runtime/weight_store.h"
-#include "src/schedule/interleaved.h"
-#include "src/schedule/policy.h"
+#include "src/schedule/op_list.h"
 #include "src/simexec/pipeline_sim.h"
 
 namespace pipedream {
@@ -68,7 +67,7 @@ struct PipelineTrainerOptions {
   // Virtual chunk-stages per physical worker for ScheduleKind::kInterleaved: the (straight)
   // plan's num_stages must be divisible by this, chunk-stage s runs on physical worker
   // s mod (num_stages / interleave_chunks), and each worker executes its chunks' ops in the
-  // statically generated order of BuildInterleavedSchedule (src/schedule/interleaved.h).
+  // statically generated order of BuildOpLists (src/schedule/op_list.h).
   // The PIPEDREAM_CHUNKS env variable takes precedence. Ignored by other schedules.
   int interleave_chunks = 1;
   // Activation recomputation (§3.3 / Chen et al.): stash only each minibatch's stage *input*
@@ -237,11 +236,12 @@ class PipelineTrainer {
   // aborted by a failure.
   bool RunRange(int64_t begin, int64_t end, EpochStats* stats);
 
-  // Executes one physical worker's statically generated interleaved op list strictly in
-  // order over its owned chunk-stage runtimes (kInterleaved only). `*current` tracks the
-  // runtime of the op being executed so a thrown failure is attributed to the right stage.
-  void RunWorkerInterleaved(const std::vector<StageRuntime*>& owned,
-                            const std::vector<ChunkOp>& ops, StageRuntime** current);
+  // Executes one worker's static op list strictly in order over the stage runtimes it hosts
+  // (one replica, or under kInterleaved a physical worker's chunk-stages). `*current` tracks
+  // the runtime of the op being executed so a thrown failure is attributed to the right
+  // stage.
+  void RunWorker(const std::vector<StageRuntime*>& owned, const std::vector<ScheduleOp>& ops,
+                 StageRuntime** current);
 
   // Checksums + injects + routes one boundary message (called from worker threads).
   void Send(StageRuntime* from, int dest_stage, PipeMessage message);

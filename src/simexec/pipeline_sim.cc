@@ -8,8 +8,7 @@
 #include "src/common/logging.h"
 #include "src/planner/memory_model.h"
 #include "src/planner/partitioner.h"
-#include "src/schedule/interleaved.h"
-#include "src/schedule/policy.h"
+#include "src/schedule/op_list.h"
 #include "src/sim/engine.h"
 
 namespace pipedream {
@@ -38,7 +37,6 @@ class PipelineSimulation {
       PD_CHECK_GE(options.interleave_chunks, 1);
       PD_CHECK(plan.num_stages() % options.interleave_chunks == 0)
           << "interleaving needs num_stages divisible by interleave_chunks";
-      PD_CHECK(!options.fault.enabled) << "fault injection is not modelled for interleaved";
       PD_CHECK_EQ(options.pipeline_depth_override, 0)
           << "pipeline_depth_override does not apply to the static interleaved schedule";
     }
@@ -58,6 +56,8 @@ class PipelineSimulation {
   SimResult Run();
 
  private:
+  struct Lane;
+
   struct Replica {
     int stage = 0;
     int replica = 0;
@@ -65,20 +65,27 @@ class PipelineSimulation {
     bool failed = false;  // victim of an injected fault; dispatches nothing until restart
     std::set<int64_t> ready_forward;   // arrived activations (non-input stages)
     std::set<int64_t> ready_backward;  // arrived gradients (or local loss at the last stage)
-    std::unique_ptr<SchedulingPolicy> policy;
-    bool busy = false;
+    Lane* lane = nullptr;        // the op list this replica's work is dispatched from
     int64_t next_admission = 0;  // input stage: next minibatch id in this replica's share
-    int in_flight = 0;           // input stage: admitted but not yet backward-complete
-    int admission_cap = 1;
     int stash = 0;
     int peak_stash = 0;
     double fwd_seconds = 0.0;  // stage compute scaled by this worker's 1/speed
     double bwd_seconds = 0.0;
     SimTime busy_time;
-    int64_t fwd_started = 0;
     int64_t fwd_quota = 0;  // total forwards this replica will ever run
     int64_t bwd_done = 0;
     ResourceTimeline egress;  // NIC send port, serializes outgoing transfers
+  };
+
+  // One worker's static op list (src/schedule/op_list.h), executed strictly in order: a
+  // stage replica, or under kInterleaved a physical worker serializing its chunk-stages on
+  // one device. The cursor advances when an op starts; `busy` covers its duration.
+  struct Lane {
+    std::vector<ScheduleOp> ops;
+    std::vector<Replica*> replicas;  // hosted stage replicas (several only when interleaved)
+    size_t next = 0;
+    bool busy = false;
+    bool at_flush = false;  // arrived at the round's flush barrier, awaiting release
   };
 
   struct StageInfo {
@@ -95,7 +102,6 @@ class PipelineSimulation {
   };
 
   void BuildStages();
-  void TryDispatchInterleaved(int physical_worker);
   double SpeedOf(int worker) const {
     if (options_.worker_speeds.empty()) {
       return 1.0;
@@ -108,10 +114,10 @@ class PipelineSimulation {
   PipelinePlan ReplanOverLive() const;
   void JoinRestart();
   Replica* ReplicaFor(int stage, int64_t minibatch);
-  void TryDispatch(Replica* r);
+  void TryDispatch(Lane* lane);
+  void ArriveAtFlush(Lane* lane);
   void OnComplete(Replica* r, WorkType type, int64_t minibatch);
   void SendBoundary(Replica* from, int dest_stage, int64_t minibatch, WorkType type);
-  void MaybeFlushGPipe();
   void FireFault(Replica* victim);
   void Restart();
   bool IsGPipeLike() const { return IsFlushFamily(options_.schedule); }
@@ -150,20 +156,13 @@ class PipelineSimulation {
   std::vector<StageInfo> stages_;
   std::vector<std::vector<std::unique_ptr<Replica>>> replicas_;  // [stage][replica]
   std::vector<Replica*> all_replicas_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  size_t flush_arrivals_ = 0;  // lanes waiting at the current round's flush barrier
 
   double comm_bytes_ = 0.0;
   int64_t completed_minibatches_ = 0;
   std::vector<SimTime> completion_times_;
-  int64_t round_bwd_done_ = 0;  // flush family: backwards finished in the current round
-  int64_t current_round_ = 0;
   ExecutionTrace trace_;
-
-  // --- interleaved execution: each physical worker runs its statically generated op list
-  // strictly in order; the cursor advances only when an op completes, and the per-worker
-  // busy flag serializes its chunks on the shared device.
-  std::vector<std::vector<ChunkOp>> interleaved_ops_;   // [physical worker]
-  std::vector<size_t> interleaved_cursor_;
-  std::vector<bool> interleaved_worker_busy_;
 
   // --- failure state. A restart rebuilds stages_/replicas_ from scratch; events scheduled
   // by the previous incarnation are cancelled by the incarnation counter (they check it
@@ -232,9 +231,10 @@ void PipelineSimulation::BuildStages() {
       auto replica = std::make_unique<Replica>();
       replica->stage = s;
       replica->replica = r;
-      replica->worker = Interleaved()
-                            ? plan_.stage(s % InterleavedWorkers()).workers[0]
-                            : assignment.workers[static_cast<size_t>(r)];
+      replica->worker =
+          Interleaved()
+              ? plan_.stage(InterleavedWorkerOfStage(s, InterleavedWorkers())).workers[0]
+              : assignment.workers[static_cast<size_t>(r)];
       replica->fwd_seconds = info.fwd_seconds / SpeedOf(replica->worker);
       replica->bwd_seconds = info.bwd_seconds / SpeedOf(replica->worker);
       // This replica's round-robin share of [first_minibatch_, num_minibatches). The range
@@ -248,31 +248,34 @@ void PipelineSimulation::BuildStages() {
       for (int64_t b = first; b < options_.num_minibatches; b += assignment.replicas) {
         ++replica->fwd_quota;
       }
-      if (IsGPipeLike()) {
-        if (options_.schedule == ScheduleKind::kPipeDreamFlush) {
-          replica->policy =
-              std::make_unique<PipeDreamFlushPolicy>(StartupDepth(plan_, s), RoundSize());
-        } else {
-          replica->policy = std::make_unique<GPipePolicy>(RoundSize());
-        }
-        replica->admission_cap = RoundSize();
-      } else {
-        int depth = StartupDepth(plan_, s);
-        if (options_.pipeline_depth_override > 0) {
-          depth = std::max(1, std::min(depth, options_.pipeline_depth_override - s));
-        }
-        replica->policy = std::make_unique<OneFOneBPolicy>(depth);
-        replica->admission_cap = depth;
-      }
       all_replicas_.push_back(replica.get());
       replicas_[static_cast<size_t>(s)].push_back(std::move(replica));
     }
   }
-  if (Interleaved()) {
-    interleaved_ops_ = BuildInterleavedSchedule(num_stages, options_.interleave_chunks,
-                                                options_.num_minibatches);
-    interleaved_cursor_.assign(interleaved_ops_.size(), 0);
-    interleaved_worker_busy_.assign(interleaved_ops_.size(), false);
+
+  // The same generator the runtime executes; regenerated per incarnation, so a restart's
+  // lists cover exactly [first_minibatch_, num_minibatches) on the current plan.
+  std::vector<std::vector<int64_t>> quotas(static_cast<size_t>(num_stages));
+  for (Replica* r : all_replicas_) {
+    quotas[static_cast<size_t>(r->stage)].push_back(r->fwd_quota);
+  }
+  OpListOptions list_options;
+  list_options.kind = options_.schedule;
+  list_options.round_size = options_.gpipe_microbatches;
+  list_options.chunks = options_.interleave_chunks;
+  list_options.depth_override = options_.pipeline_depth_override;
+  lanes_.clear();
+  flush_arrivals_ = 0;
+  for (std::vector<ScheduleOp>& ops : BuildOpLists(list_options, plan_, quotas)) {
+    lanes_.push_back(std::make_unique<Lane>());
+    lanes_.back()->ops = std::move(ops);
+  }
+  for (size_t i = 0; i < all_replicas_.size(); ++i) {
+    Replica* r = all_replicas_[i];
+    const int lane = Interleaved() ? InterleavedWorkerOfStage(r->stage, InterleavedWorkers())
+                                   : static_cast<int>(i);
+    r->lane = lanes_[static_cast<size_t>(lane)].get();
+    r->lane->replicas.push_back(r);
   }
 }
 
@@ -281,69 +284,56 @@ PipelineSimulation::Replica* PipelineSimulation::ReplicaFor(int stage, int64_t m
   return replicas_[static_cast<size_t>(stage)][static_cast<size_t>(r)].get();
 }
 
-void PipelineSimulation::TryDispatch(Replica* r) {
-  if (Interleaved()) {
-    // The op order is static; the only question is whether the physical worker hosting
-    // this chunk can run its next listed op yet.
-    TryDispatchInterleaved(r->stage % InterleavedWorkers());
+void PipelineSimulation::TryDispatch(Lane* lane) {
+  if (lane->busy || lane->next == lane->ops.size()) {
     return;
   }
-  if (r->busy || r->failed) {
+  const ScheduleOp op = lane->ops[lane->next];
+  Replica* r = *std::find_if(lane->replicas.begin(), lane->replicas.end(),
+                             [&op](const Replica* h) { return h->stage == op.stage; });
+  if (r->failed) {
     return;
   }
-  // Input-stage forward availability = admission control; other stages consume arrivals.
-  int ready_fwd;
-  if (r->stage == 0) {
-    const bool have_data = r->next_admission < options_.num_minibatches;
-    bool admit = have_data;
-    if (IsGPipeLike()) {
-      // Only admit microbatches of the current flush round.
-      admit = have_data && r->next_admission / RoundSize() <= current_round_;
-    } else {
-      admit = have_data && r->in_flight < r->admission_cap;
-    }
-    ready_fwd = admit ? 1 : 0;
-  } else {
-    ready_fwd = static_cast<int>(r->ready_forward.size());
-  }
-  int ready_bwd = static_cast<int>(r->ready_backward.size());
-  // BSP gating for replicated stages: at most one weight-sync collective may be outstanding,
-  // so a replica cannot run the backward of round k until round k-2's gradients finished
-  // synchronizing. This is what throttles sync-bound stages (including vanilla DP, the
-  // single-replicated-stage special case) to the all_reduce rate.
-  const StageInfo& stage_info = stages_[static_cast<size_t>(r->stage)];
-  if (ready_bwd > 0 && plan_.stage(r->stage).replicas > 1 &&
-      r->bwd_done > (stage_info.rounds_synced + 1) * SyncRoundPerReplica()) {
-    ready_bwd = 0;
-  }
-  const bool exhausted = r->stage == 0 ? r->next_admission >= options_.num_minibatches
-                                       : r->fwd_started == r->fwd_quota;
-
-  const std::optional<WorkType> action = r->policy->Decide(ready_fwd, ready_bwd, exhausted);
-  if (!action.has_value()) {
+  if (op.type == OpType::kFlush) {
+    ArriveAtFlush(lane);
     return;
   }
 
+  // The op order is static; the only question is whether the listed op's input is here.
   int64_t minibatch;
   double duration;
-  if (*action == WorkType::kForward) {
+  if (op.type == OpType::kForward) {
     if (r->stage == 0) {
       minibatch = r->next_admission;
       r->next_admission += plan_.stage(0).replicas;
-      ++r->in_flight;
     } else {
+      if (r->ready_forward.empty()) {
+        return;
+      }
       minibatch = *r->ready_forward.begin();
       r->ready_forward.erase(r->ready_forward.begin());
     }
     ++r->stash;
-    ++r->fwd_started;
     r->peak_stash = std::max(r->peak_stash, r->stash);
     duration = r->fwd_seconds;
   } else {
+    if (r->ready_backward.empty()) {
+      return;
+    }
+    // BSP gating for replicated stages: at most one weight-sync collective may be
+    // outstanding, so a replica cannot run the backward of round k until round k-2's
+    // gradients finished synchronizing. This is what throttles sync-bound stages (including
+    // vanilla DP, the single-replicated-stage special case) to the all_reduce rate.
+    const StageInfo& stage_info = stages_[static_cast<size_t>(r->stage)];
+    if (plan_.stage(r->stage).replicas > 1 &&
+        r->bwd_done > (stage_info.rounds_synced + 1) * SyncRoundPerReplica()) {
+      return;
+    }
     minibatch = *r->ready_backward.begin();
     r->ready_backward.erase(r->ready_backward.begin());
     duration = r->bwd_seconds;
   }
+  const WorkType type = op.type == OpType::kForward ? WorkType::kForward : WorkType::kBackward;
 
   // Injected device failure: the victim dies on the threshold of this work item. Its state
   // is left as-is (the restart discards the whole incarnation anyway); the rest of the
@@ -354,15 +344,15 @@ void PipelineSimulation::TryDispatch(Replica* r) {
     return;
   }
 
-  r->busy = true;
-  r->policy->OnStarted(*action);
+  ++lane->next;
+  lane->busy = true;
   const SimTime start = engine_.now();
   const SimTime dur = SimTime::FromSeconds(duration);
   if (options_.record_trace) {
-    trace_.Add({r->worker, r->stage, *action, minibatch, start, start + dur});
+    trace_.Add({r->worker, r->stage, type, minibatch, start, start + dur});
   }
   r->busy_time += dur;
-  engine_.ScheduleAfter(dur, [this, r, type = *action, minibatch, inc = incarnation_] {
+  engine_.ScheduleAfter(dur, [this, r, type, minibatch, inc = incarnation_] {
     if (inc != incarnation_) {
       return;  // event from a pre-restart incarnation; r may dangle — do not touch it
     }
@@ -370,55 +360,24 @@ void PipelineSimulation::TryDispatch(Replica* r) {
   });
 }
 
-void PipelineSimulation::TryDispatchInterleaved(int physical_worker) {
-  const size_t w = static_cast<size_t>(physical_worker);
-  if (interleaved_worker_busy_[w] || interleaved_cursor_[w] >= interleaved_ops_[w].size()) {
+void PipelineSimulation::ArriveAtFlush(Lane* lane) {
+  if (lane->at_flush) {
     return;
   }
-  const ChunkOp op = interleaved_ops_[w][interleaved_cursor_[w]];
-  Replica* r = replicas_[static_cast<size_t>(op.stage)][0].get();
-  int64_t minibatch;
-  double duration;
-  if (op.type == WorkType::kForward) {
-    if (r->stage == 0) {
-      // Admission control is baked into the generated list (the generator ran the NOAM
-      // gate); in_flight is kept for accounting only.
-      PD_CHECK_LT(r->next_admission, options_.num_minibatches);
-      minibatch = r->next_admission;
-      ++r->next_admission;
-      ++r->in_flight;
-    } else {
-      if (r->ready_forward.empty()) {
-        return;  // the listed op's input has not arrived yet
-      }
-      minibatch = *r->ready_forward.begin();
-      r->ready_forward.erase(r->ready_forward.begin());
-    }
-    ++r->stash;
-    ++r->fwd_started;
-    r->peak_stash = std::max(r->peak_stash, r->stash);
-    duration = r->fwd_seconds;
-  } else {
-    if (r->ready_backward.empty()) {
-      return;
-    }
-    minibatch = *r->ready_backward.begin();
-    r->ready_backward.erase(r->ready_backward.begin());
-    duration = r->bwd_seconds;
+  lane->at_flush = true;
+  if (++flush_arrivals_ < lanes_.size()) {
+    return;
   }
-  ++interleaved_cursor_[w];
-  interleaved_worker_busy_[w] = true;
-  r->busy = true;
-  const SimTime start = engine_.now();
-  const SimTime dur = SimTime::FromSeconds(duration);
-  if (options_.record_trace) {
-    trace_.Add({r->worker, r->stage, op.type, minibatch, start, start + dur});
+  // Pipeline flush: every stage applies its aggregated weight update, then the next round's
+  // microbatches may enter. Update time is negligible relative to compute and is charged 0.
+  flush_arrivals_ = 0;
+  for (const auto& waiting : lanes_) {
+    waiting->at_flush = false;
+    ++waiting->next;
   }
-  r->busy_time += dur;
-  engine_.ScheduleAfter(dur, [this, r, w, type = op.type, minibatch] {
-    interleaved_worker_busy_[w] = false;
-    OnComplete(r, type, minibatch);
-  });
+  for (const auto& released : lanes_) {
+    TryDispatch(released.get());
+  }
 }
 
 void PipelineSimulation::SendBoundary(Replica* from, int dest_stage, int64_t minibatch,
@@ -452,27 +411,8 @@ void PipelineSimulation::SendBoundary(Replica* from, int dest_stage, int64_t min
     } else {
       dest->ready_backward.insert(minibatch);
     }
-    TryDispatch(dest);
+    TryDispatch(dest->lane);
   });
-}
-
-void PipelineSimulation::MaybeFlushGPipe() {
-  const int64_t round_start = current_round_ * RoundSize();
-  const int64_t round_size =
-      std::min<int64_t>(RoundSize(), options_.num_minibatches - round_start);
-  if (round_bwd_done_ < round_size * plan_.num_stages()) {
-    return;
-  }
-  // Pipeline flush: every stage applies its aggregated weight update, then the next round's
-  // microbatches may enter. Update time is negligible relative to compute and is charged 0.
-  round_bwd_done_ = 0;
-  ++current_round_;
-  for (Replica* r : all_replicas_) {
-    static_cast<RoundPolicy*>(r->policy.get())->OnFlushComplete();
-  }
-  for (Replica* r : all_replicas_) {
-    TryDispatch(r);
-  }
 }
 
 void PipelineSimulation::FireFault(Replica* victim) {
@@ -542,11 +482,9 @@ void PipelineSimulation::Restart() {
   all_replicas_.clear();
   first_minibatch_ = restart_from_;
   completed_minibatches_ = restart_from_;
-  round_bwd_done_ = 0;
-  current_round_ = IsGPipeLike() ? restart_from_ / RoundSize() : 0;
   BuildStages();
-  for (Replica* r : all_replicas_) {
-    TryDispatch(r);
+  for (const auto& lane : lanes_) {
+    TryDispatch(lane.get());
   }
 }
 
@@ -597,16 +535,14 @@ void PipelineSimulation::JoinRestart() {
   replicas_.clear();
   all_replicas_.clear();
   first_minibatch_ = completed_minibatches_;
-  round_bwd_done_ = 0;
-  current_round_ = 0;
   BuildStages();
-  for (Replica* r : all_replicas_) {
-    TryDispatch(r);
+  for (const auto& lane : lanes_) {
+    TryDispatch(lane.get());
   }
 }
 
 void PipelineSimulation::OnComplete(Replica* r, WorkType type, int64_t minibatch) {
-  r->busy = false;
+  r->lane->busy = false;
   StageInfo& stage = stages_[static_cast<size_t>(r->stage)];
   const int num_stages = plan_.num_stages();
 
@@ -623,7 +559,6 @@ void PipelineSimulation::OnComplete(Replica* r, WorkType type, int64_t minibatch
     if (r->stage > 0) {
       SendBoundary(r, r->stage - 1, minibatch, WorkType::kBackward);
     } else {
-      --r->in_flight;
       ++completed_minibatches_;
       completion_times_.push_back(engine_.now());
       // Elastic join: once enough minibatches completed, the new worker is admitted after
@@ -663,22 +598,18 @@ void PipelineSimulation::OnComplete(Replica* r, WorkType type, int64_t minibatch
                              }
                              ++stage_ptr->rounds_synced;
                              for (auto& replica : replicas_[static_cast<size_t>(stage_index)]) {
-                               TryDispatch(replica.get());
+                               TryDispatch(replica->lane);
                              }
                            });
       }
     }
-    if (IsGPipeLike()) {
-      ++round_bwd_done_;
-      MaybeFlushGPipe();
-    }
   }
-  TryDispatch(r);
+  TryDispatch(r->lane);
 }
 
 SimResult PipelineSimulation::Run() {
-  for (Replica* r : all_replicas_) {
-    TryDispatch(r);
+  for (const auto& lane : lanes_) {
+    TryDispatch(lane.get());
   }
   engine_.Run();
   PD_CHECK_EQ(completed_minibatches_, options_.num_minibatches)

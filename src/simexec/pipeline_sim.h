@@ -1,7 +1,9 @@
 // Event-driven cluster simulator for pipeline-parallel training.
 //
-// Executes a (profile, plan, topology) triple under a scheduling policy — 1F1B / 1F1B-RR,
-// GPipe with m microbatches per flush, or non-pipelined model parallelism — in deterministic
+// Executes a (profile, plan, topology) triple under any schedule of the zoo — 1F1B / 1F1B-RR,
+// GPipe or PipeDream-Flush with m microbatches per flush, non-pipelined model parallelism, or
+// interleaved virtual stages — by running the static per-worker op lists of
+// src/schedule/op_list.h (the same lists the threaded runtime executes) in deterministic
 // virtual time, modelling per-worker compute serialization, per-worker NIC egress
 // serialization for activations/gradients, and per-stage weight-synchronization collectives
 // for replicated stages. This is the measurement substrate standing in for the paper's GPU
@@ -68,7 +70,7 @@ struct SimOptions {
   // Virtual chunk-stages per physical worker for kInterleaved: the (straight) plan's
   // num_stages must be divisible by this, stage s runs on physical worker s mod
   // (num_stages / interleave_chunks), and each worker executes its chunks' ops in the
-  // statically generated order of BuildInterleavedSchedule. 1 elsewhere.
+  // statically generated order of BuildOpLists. 1 elsewhere.
   int interleave_chunks = 1;
   // Per-stage activation recomputation, mirroring the runtime: unset = the plan's per-stage
   // StageAssignment::recompute flags; set = a global override. A recomputing stage stashes

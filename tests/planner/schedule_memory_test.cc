@@ -102,20 +102,18 @@ TEST(ScheduleMemoryTest, PredictorMatchesSimulatorAcrossZoo) {
         const SimResult sim =
             SimulatePipeline(profile, WithWeightMode(plan, mode), topology, sim_options);
 
-        if (schedule == ScheduleKind::kGPipe) {
-          // The documented GPipe formula stashes m at *every* stage — the worst case. The
-          // executed schedule lets late stages start draining while earlier microbatches
-          // are still in flight, so the simulator can come in under the model there; the
-          // input stage genuinely holds all m, and the model must never undershoot.
-          ASSERT_FALSE(sim.worker_peak_memory.empty());
-          EXPECT_EQ(prediction.stages[0].peak_memory_bytes, sim.worker_peak_memory[0])
-              << "mode=" << WeightModeName(mode) << " recompute=" << recompute;
-          EXPECT_GE(prediction.max_worker_memory_bytes, MaxSimWorkerPeak(sim))
-              << "mode=" << WeightModeName(mode) << " recompute=" << recompute;
-        } else {
-          EXPECT_EQ(prediction.max_worker_memory_bytes, MaxSimWorkerPeak(sim))
-              << "schedule=" << ScheduleKindName(schedule)
-              << " mode=" << WeightModeName(mode) << " recompute=" << recompute;
+        // Every schedule runs its static op list, so each worker's executed stash depth is
+        // exactly the modelled one — including GPipe, whose F^m B^m order holds all m
+        // microbatches at every stage.
+        EXPECT_EQ(prediction.max_worker_memory_bytes, MaxSimWorkerPeak(sim))
+            << "schedule=" << ScheduleKindName(schedule) << " mode=" << WeightModeName(mode)
+            << " recompute=" << recompute;
+        for (int s = 0; s < plan.num_stages(); ++s) {
+          const int worker = plan.stage(s).workers[0];
+          EXPECT_EQ(prediction.stages[static_cast<size_t>(s)].peak_memory_bytes,
+                    sim.worker_peak_memory[static_cast<size_t>(worker)])
+              << "schedule=" << ScheduleKindName(schedule) << " mode=" << WeightModeName(mode)
+              << " recompute=" << recompute << " worker=" << worker;
         }
       }
     }

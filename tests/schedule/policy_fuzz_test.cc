@@ -55,13 +55,19 @@ PipelinePlan RandomPlan(int layers, bool allow_replicas, Rng* rng) {
   return MakePlanFromShape(shape);
 }
 
+// Simulates and validates the trace against `placement` (which worker runs each stage;
+// defaults to the plan itself). Every stage must run every minibatch's forward and backward.
 void RunAndValidate(const ModelProfile& profile, const PipelinePlan& plan,
-                    const SimOptions& options, const std::string& what) {
+                    const SimOptions& options, const std::string& what,
+                    const PipelinePlan* placement = nullptr) {
   const auto topo = HardwareTopology::Flat(plan.total_workers(), 1e9);
   const SimResult result = SimulatePipeline(profile, plan, topo, options);
-  const Status status = result.trace.Validate(plan);
+  const Status status = result.trace.Validate(placement != nullptr ? *placement : plan);
   EXPECT_TRUE(status.ok()) << what << ": " << status.message();
-  EXPECT_GT(result.trace.size(), 0u) << what;
+  EXPECT_EQ(result.trace.size(),
+            2u * static_cast<size_t>(plan.num_stages()) *
+                static_cast<size_t>(options.num_minibatches))
+      << what;
   EXPECT_GT(result.throughput_samples_per_sec, 0.0) << what;
 }
 
@@ -97,12 +103,71 @@ TEST(PolicyFuzzTest, GPipeRandomDepthsNeverViolateTraceInvariants) {
     SimOptions options;
     options.schedule = ScheduleKind::kGPipe;
     options.gpipe_microbatches = 1 + static_cast<int>(rng.UniformInt(6));
-    options.num_minibatches = options.gpipe_microbatches *
-                              (2 + static_cast<int>(rng.UniformInt(4)));
+    // Any stream length: a final round shorter than m must flush like the others.
+    options.num_minibatches = 1 + static_cast<int>(rng.UniformInt(30));
     options.record_trace = true;
     RunAndValidate(profile, plan, options,
                    "gpipe-m" + std::to_string(options.gpipe_microbatches) + " trial " +
                        std::to_string(trial) + " plan " + plan.ConfigString(layers));
+  }
+}
+
+TEST(PolicyFuzzTest, PipeDreamFlushRandomRoundsNeverViolateTraceInvariants) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int layers = 2 + static_cast<int>(rng.UniformInt(9));
+    const ModelProfile profile = RandomProfile(layers, &rng);
+    const PipelinePlan plan = RandomPlan(layers, /*allow_replicas=*/false, &rng);
+    plan.Validate(layers);
+    SimOptions options;
+    options.schedule = ScheduleKind::kPipeDreamFlush;
+    options.gpipe_microbatches = 1 + static_cast<int>(rng.UniformInt(8));
+    options.num_minibatches = 1 + static_cast<int>(rng.UniformInt(40));
+    options.record_trace = true;
+    RunAndValidate(profile, plan, options,
+                   "flush-m" + std::to_string(options.gpipe_microbatches) + " n" +
+                       std::to_string(options.num_minibatches) + " trial " +
+                       std::to_string(trial) + " plan " + plan.ConfigString(layers));
+  }
+}
+
+TEST(PolicyFuzzTest, InterleavedRandomChunkingNeverViolatesTraceInvariants) {
+  Rng rng(2718);
+  for (int trial = 0; trial < 40; ++trial) {
+    // S chunk-stages of one layer each, k | S chunks per physical worker.
+    const int num_stages = 2 + static_cast<int>(rng.UniformInt(7));
+    std::vector<int> divisors;
+    for (int k = 1; k <= num_stages; ++k) {
+      if (num_stages % k == 0) {
+        divisors.push_back(k);
+      }
+    }
+    const ModelProfile profile = RandomProfile(num_stages, &rng);
+    std::vector<int> boundaries;
+    for (int s = 1; s < num_stages; ++s) {
+      boundaries.push_back(s);
+    }
+    const PipelinePlan plan = MakeStraightPlan(num_stages, boundaries);
+    SimOptions options;
+    options.schedule = ScheduleKind::kInterleaved;
+    options.interleave_chunks =
+        divisors[static_cast<size_t>(rng.UniformInt(static_cast<uint64_t>(divisors.size())))];
+    options.num_minibatches = 1 + static_cast<int>(rng.UniformInt(30));
+    options.record_trace = true;
+    // Chunk-stage s runs on the worker of stage s mod W, so several stages share a worker
+    // and the validator's exclusivity check covers exactly that serialization.
+    const int workers = num_stages / options.interleave_chunks;
+    std::vector<StageAssignment> placed = plan.stages();
+    for (int s = 0; s < num_stages; ++s) {
+      placed[static_cast<size_t>(s)].workers = plan.stage(s % workers).workers;
+    }
+    const PipelinePlan placement(std::move(placed));
+    RunAndValidate(profile, plan, options,
+                   "interleaved-k" + std::to_string(options.interleave_chunks) + " S" +
+                       std::to_string(num_stages) + " n" +
+                       std::to_string(options.num_minibatches) + " trial " +
+                       std::to_string(trial),
+                   &placement);
   }
 }
 
@@ -140,8 +205,7 @@ TEST(PolicyFuzzTest, RandomMicrobatchStreams) {
     } else if (kind == 1) {
       options.schedule = ScheduleKind::kGPipe;
       options.gpipe_microbatches = 1 + static_cast<int>(rng.UniformInt(8));
-      options.num_minibatches =
-          options.gpipe_microbatches * (1 + static_cast<int>(rng.UniformInt(6)));
+      options.num_minibatches = 1 + static_cast<int>(rng.UniformInt(48));
     } else {
       options.schedule = ScheduleKind::kModelParallel;
       options.num_minibatches = 4 + static_cast<int>(rng.UniformInt(30));

@@ -1,12 +1,41 @@
+// The schedule generator (src/schedule/op_list.h): every ScheduleKind's per-worker op list
+// is pinned here by exact equality against the paper's orders (Figures 2, 3 and 4).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
-#include "src/schedule/interleaved.h"
-#include "src/schedule/policy.h"
+#include "src/schedule/op_list.h"
+#include "src/schedule/work.h"
 
 namespace pipedream {
 namespace {
+
+// "FFB|" -> {kForward, kForward, kBackward, kFlush}.
+std::vector<OpType> Ops(const std::string& spelled) {
+  std::vector<OpType> ops;
+  for (const char c : spelled) {
+    ops.push_back(c == 'F' ? OpType::kForward : c == 'B' ? OpType::kBackward : OpType::kFlush);
+  }
+  return ops;
+}
+
+std::vector<OpType> Types(const std::vector<ScheduleOp>& list) {
+  std::vector<OpType> types;
+  for (const ScheduleOp& op : list) {
+    types.push_back(op.type);
+  }
+  return types;
+}
+
+// Op lists for a straight plan in which every stage runs `minibatches`.
+std::vector<std::vector<ScheduleOp>> StraightLists(const OpListOptions& options,
+                                                   const PipelinePlan& plan,
+                                                   int64_t minibatches) {
+  return BuildOpLists(options, plan,
+                      std::vector<std::vector<int64_t>>(
+                          static_cast<size_t>(plan.num_stages()), {minibatches}));
+}
 
 TEST(StartupDepthTest, StraightPipeline) {
   const auto plan = MakeStraightPlan(8, {2, 4, 6});
@@ -30,195 +59,142 @@ TEST(StartupDepthTest, FifteenOne) {
   EXPECT_EQ(plan.Noam(), StartupDepth(plan, 0));
 }
 
-TEST(OneFOneBPolicyTest, StartupForwardsThenStrictAlternation) {
-  OneFOneBPolicy policy(3);
-  // Startup: three forwards.
-  for (int i = 0; i < 3; ++i) {
-    const auto action = policy.Decide(1, 1, false);
-    ASSERT_TRUE(action.has_value());
-    EXPECT_EQ(*action, WorkType::kForward) << i;
-    policy.OnStarted(*action);
-  }
-  // Steady state: backward first, then alternate.
-  const WorkType expected[] = {WorkType::kBackward, WorkType::kForward, WorkType::kBackward,
-                               WorkType::kForward};
-  for (WorkType want : expected) {
-    const auto action = policy.Decide(1, 1, false);
-    ASSERT_TRUE(action.has_value());
-    EXPECT_EQ(*action, want);
-    policy.OnStarted(*action);
-  }
+TEST(ReplicaOpsTest, OneFOneBStartupForwardsThenStrictAlternation) {
+  // Depth 3: three startup forwards, then backward-first alternation, then the drain.
+  EXPECT_EQ(ReplicaOps(3, 7, 7, /*flush=*/false), Ops("FFFBFBFBFBFBBB"));
 }
 
-TEST(OneFOneBPolicyTest, StrictWaitsForDueDirection) {
-  OneFOneBPolicy policy(1);
-  policy.OnStarted(*policy.Decide(1, 0, false));  // startup forward
-  // Due direction is backward; a ready forward must NOT be taken.
-  EXPECT_FALSE(policy.Decide(1, 0, false).has_value());
-  // The backward arrives; it is taken.
-  const auto action = policy.Decide(1, 1, false);
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(*action, WorkType::kBackward);
+TEST(ReplicaOpsTest, OneFOneBShortRunDrainsDuringStartup) {
+  // Only one minibatch ever exists; its backward follows directly.
+  EXPECT_EQ(ReplicaOps(4, 1, 1, /*flush=*/false), Ops("FB"));
+  EXPECT_TRUE(ReplicaOps(4, 1, 0, /*flush=*/false).empty());
 }
 
-TEST(OneFOneBPolicyTest, StartupWaitsForForwards) {
-  OneFOneBPolicy policy(2);
-  EXPECT_FALSE(policy.Decide(0, 1, false).has_value());  // backward ready, but startup
+TEST(ReplicaOpsTest, FlushWarmupAlternationDrainThenFlush) {
+  // Startup depth 2 in rounds of m = 4: two warm-up forwards, strict 1F1B alternation, a
+  // pure backward drain once all 4 forwards started, then the round's Flush.
+  EXPECT_EQ(ReplicaOps(2, 4, 8, /*flush=*/true), Ops("FFBFBFBB|FFBFBFBB|"));
 }
 
-TEST(OneFOneBPolicyTest, DrainTakesBackwardsWhenForwardsExhausted) {
-  OneFOneBPolicy policy(2);
-  policy.OnStarted(*policy.Decide(1, 0, false));
-  policy.OnStarted(*policy.Decide(1, 0, false));
-  policy.OnStarted(*policy.Decide(0, 1, false));  // steady backward
-  // Due: forward, but the stream has ended — drain the remaining backward.
-  const auto action = policy.Decide(0, 1, true);
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(*action, WorkType::kBackward);
+TEST(ReplicaOpsTest, FlushLastStageAlternatesFromTheFirstMinibatch) {
+  EXPECT_EQ(ReplicaOps(1, 3, 3, /*flush=*/true), Ops("FBFBFB|"));
 }
 
-TEST(OneFOneBPolicyTest, ShortRunDrainsDuringStartup) {
-  OneFOneBPolicy policy(4);
-  policy.OnStarted(*policy.Decide(1, 0, false));
-  // Only one minibatch ever existed; its backward must still be runnable.
-  const auto action = policy.Decide(0, 1, true);
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(*action, WorkType::kBackward);
+TEST(ReplicaOpsTest, FlushRoundSizeCapsTheWarmup) {
+  // A deep stage in a small round: the warm-up is min(depth, m) = 2, so live stashes never
+  // exceed the round size.
+  EXPECT_EQ(ReplicaOps(4, 2, 2, /*flush=*/true), Ops("FFBB|"));
 }
 
-TEST(GPipePolicyTest, ForwardsThenBackwardsThenFlush) {
-  GPipePolicy policy(3);
-  for (int i = 0; i < 3; ++i) {
-    const auto action = policy.Decide(1, 0, false);
-    ASSERT_TRUE(action.has_value());
-    EXPECT_EQ(*action, WorkType::kForward);
-    policy.OnStarted(*action);
-  }
-  // No fourth forward within the round.
-  EXPECT_FALSE(policy.Decide(1, 0, false).has_value());
-  for (int i = 0; i < 3; ++i) {
-    const auto action = policy.Decide(1, 1, false);
-    ASSERT_TRUE(action.has_value());
-    EXPECT_EQ(*action, WorkType::kBackward);
-    policy.OnStarted(*action);
-  }
-  // Round complete: stall for the flush.
-  EXPECT_TRUE(policy.waiting_for_flush());
-  EXPECT_FALSE(policy.Decide(1, 1, false).has_value());
-  policy.OnFlushComplete();
-  EXPECT_FALSE(policy.waiting_for_flush());
-  const auto action = policy.Decide(1, 0, false);
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(*action, WorkType::kForward);
+TEST(ReplicaOpsTest, ShortFinalRoundIsItsOwnRound) {
+  // 10 minibatches in rounds of 4: the last round holds 2, warms up min(3, 2) = 2 deep and
+  // still ends in a Flush.
+  EXPECT_EQ(ReplicaOps(3, 4, 10, /*flush=*/true), Ops("FFFBFBBB|FFFBFBBB|FFBB|"));
 }
 
-TEST(GPipePolicyTest, InterleavesBackwardWhenNoForwardReady) {
-  // A middle stage may see backwards before all its forwards arrived; backwards proceed
-  // whenever no forward is pending.
-  GPipePolicy policy(2);
-  policy.OnStarted(*policy.Decide(1, 0, false));
-  const auto action = policy.Decide(0, 1, false);
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(*action, WorkType::kBackward);
-}
-
-TEST(ModelParallelPolicyTest, OneMinibatchAtATime) {
-  ModelParallelPolicy policy;
-  const auto f = policy.Decide(1, 0, false);
-  ASSERT_TRUE(f.has_value());
-  policy.OnStarted(*f);
-  EXPECT_FALSE(policy.Decide(1, 0, false).has_value());  // next fwd blocked until flush
-  const auto b = policy.Decide(0, 1, false);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(*b, WorkType::kBackward);
-  policy.OnStarted(*b);
-  EXPECT_TRUE(policy.waiting_for_flush());
-}
-
-// Runs `policy` with both directions always ready and records the op sequence until the
-// policy stalls (flush wait) or `limit` ops were taken.
-std::vector<WorkType> DrainSequence(SchedulingPolicy* policy, int limit) {
-  std::vector<WorkType> ops;
-  while (static_cast<int>(ops.size()) < limit) {
-    const auto action = policy->Decide(1, 1, false);
-    if (!action.has_value()) {
-      break;
+TEST(OpListTest, OneFOneBListsFollowStartupDepths) {
+  // Figure 4: 4 workers, startup depth S - s, then strict alternation.
+  const auto plan = MakeStraightPlan(4, {1, 2, 3});
+  OpListOptions options;
+  options.kind = ScheduleKind::kOneFOneB;
+  const auto lists = StraightLists(options, plan, 6);
+  ASSERT_EQ(lists.size(), 4u);
+  EXPECT_EQ(Types(lists[0]), Ops("FFFFBFBFBBBB"));
+  EXPECT_EQ(Types(lists[1]), Ops("FFFBFBFBFBBB"));
+  EXPECT_EQ(Types(lists[2]), Ops("FFBFBFBFBFBB"));
+  EXPECT_EQ(Types(lists[3]), Ops("FBFBFBFBFBFB"));
+  for (size_t s = 0; s < lists.size(); ++s) {
+    for (const ScheduleOp& op : lists[s]) {
+      EXPECT_EQ(op.stage, static_cast<int>(s));
     }
-    policy->OnStarted(*action);
-    ops.push_back(*action);
   }
-  return ops;
 }
 
-TEST(PipeDreamFlushPolicyTest, WarmupAlternationDrainThenFlush) {
-  // Stage with startup depth 2 in a round of m = 4: two warm-up forwards, strict 1F1B
-  // alternation, then a pure backward drain once all 4 forwards have started.
-  PipeDreamFlushPolicy policy(/*startup_depth=*/2, /*microbatches=*/4);
-  const std::vector<WorkType> expected = {WorkType::kForward,  WorkType::kForward,
-                                          WorkType::kBackward, WorkType::kForward,
-                                          WorkType::kBackward, WorkType::kForward,
-                                          WorkType::kBackward, WorkType::kBackward};
-  EXPECT_EQ(DrainSequence(&policy, 16), expected);
-  // Round complete: stall until the drain barrier reports the aggregated update committed.
-  EXPECT_TRUE(policy.waiting_for_flush());
-  EXPECT_FALSE(policy.Decide(1, 1, false).has_value());
-  policy.OnFlushComplete();
-  EXPECT_FALSE(policy.waiting_for_flush());
-  const auto next = policy.Decide(1, 0, false);
-  ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(*next, WorkType::kForward);  // the next round starts fresh
+TEST(OpListTest, DepthOverrideCapsEveryStage) {
+  const auto plan = MakeStraightPlan(4, {1, 2, 3});
+  OpListOptions options;
+  options.kind = ScheduleKind::kOneFOneB;
+  options.depth_override = 2;  // stage s warms up min(S - s, 2 - s), at least 1
+  const auto lists = StraightLists(options, plan, 3);
+  EXPECT_EQ(Types(lists[0]), Ops("FFBFBB"));
+  EXPECT_EQ(Types(lists[1]), Ops("FBFBFB"));
+  EXPECT_EQ(Types(lists[2]), Ops("FBFBFB"));
 }
 
-TEST(PipeDreamFlushPolicyTest, LastStageAlternatesFromTheFirstMinibatch) {
-  PipeDreamFlushPolicy policy(/*startup_depth=*/1, /*microbatches=*/3);
-  const std::vector<WorkType> expected = {WorkType::kForward,  WorkType::kBackward,
-                                          WorkType::kForward,  WorkType::kBackward,
-                                          WorkType::kForward,  WorkType::kBackward};
-  EXPECT_EQ(DrainSequence(&policy, 16), expected);
-  EXPECT_TRUE(policy.waiting_for_flush());
+TEST(OpListTest, ReplicatedStagesGetOneListPerReplicaQuota) {
+  // 1F1B-RR on the 2-1 configuration: input replicas split 5 minibatches 3 / 2 and warm up
+  // 2 deep; the output stage runs all 5 at depth 1.
+  const auto plan = MakePlanFromShape({{3, 2}, {3, 1}});
+  OpListOptions options;
+  options.kind = ScheduleKind::kOneFOneB;
+  const auto lists = BuildOpLists(options, plan, {{3, 2}, {5}});
+  ASSERT_EQ(lists.size(), 3u);
+  EXPECT_EQ(Types(lists[0]), Ops("FFBFBB"));
+  EXPECT_EQ(Types(lists[1]), Ops("FFBB"));
+  EXPECT_EQ(Types(lists[2]), Ops("FBFBFBFBFB"));
+  EXPECT_EQ(lists[1].front().stage, 0);
+  EXPECT_EQ(lists[2].front().stage, 1);
 }
 
-TEST(PipeDreamFlushPolicyTest, RoundSizeCapsTheWarmup) {
-  // A deep stage in a small round: the warm-up is min(startup_depth, m) = 2, after which
-  // the stage drains — live stashes never exceed the round size.
-  PipeDreamFlushPolicy policy(/*startup_depth=*/4, /*microbatches=*/2);
-  const std::vector<WorkType> expected = {WorkType::kForward, WorkType::kForward,
-                                          WorkType::kBackward, WorkType::kBackward};
-  EXPECT_EQ(DrainSequence(&policy, 16), expected);
-  EXPECT_TRUE(policy.waiting_for_flush());
+TEST(OpListTest, GPipeAllForwardsThenAllBackwardsThenFlush) {
+  // Figure 3: every stage runs the round's m forwards, then its m backwards, then flushes.
+  const auto plan = MakeStraightPlan(4, {1, 2, 3});
+  OpListOptions options;
+  options.kind = ScheduleKind::kGPipe;
+  options.round_size = 3;
+  const auto lists = StraightLists(options, plan, 6);
+  for (const auto& list : lists) {
+    EXPECT_EQ(Types(list), Ops("FFFBBB|FFFBBB|"));
+  }
 }
 
-TEST(PipeDreamFlushPolicyTest, StrictWaitsForDueDirection) {
-  PipeDreamFlushPolicy policy(/*startup_depth=*/2, /*microbatches=*/4);
-  policy.OnStarted(*policy.Decide(1, 0, false));
-  policy.OnStarted(*policy.Decide(1, 0, false));
-  // Warm-up done; the due direction is backward — a ready forward must not be taken.
-  EXPECT_FALSE(policy.Decide(1, 0, false).has_value());
-  const auto action = policy.Decide(1, 1, false);
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(*action, WorkType::kBackward);
+TEST(OpListTest, GPipeIsStaticEvenWhereBackwardsArriveEarly) {
+  // The output stage's first backward is ready right after its first forward, yet GPipe
+  // does not interleave it: the order is F^m B^m whatever the readiness.
+  const auto plan = MakeStraightPlan(2, {1});
+  OpListOptions options;
+  options.kind = ScheduleKind::kGPipe;
+  options.round_size = 2;
+  const auto lists = StraightLists(options, plan, 3);
+  EXPECT_EQ(Types(lists[1]), Ops("FFBB|FB|"));
+}
+
+TEST(OpListTest, ModelParallelRunsOneMinibatchPerRound) {
+  // Figure 2: one minibatch in the system at a time, whatever round size is configured.
+  const auto plan = MakeStraightPlan(3, {1, 2});
+  OpListOptions options;
+  options.kind = ScheduleKind::kModelParallel;
+  options.round_size = 4;
+  for (const auto& list : StraightLists(options, plan, 3)) {
+    EXPECT_EQ(Types(list), Ops("FB|FB|FB|"));
+  }
+}
+
+TEST(OpListTest, PipeDreamFlushUsesStartupDepthsWithinRounds) {
+  const auto plan = MakeStraightPlan(4, {1, 2, 3});
+  OpListOptions options;
+  options.kind = ScheduleKind::kPipeDreamFlush;
+  options.round_size = 4;
+  const auto lists = StraightLists(options, plan, 4);
+  EXPECT_EQ(Types(lists[0]), Ops("FFFFBBBB|"));
+  EXPECT_EQ(Types(lists[2]), Ops("FFBFBFBB|"));
+  EXPECT_EQ(Types(lists[3]), Ops("FBFBFBFB|"));
 }
 
 TEST(InterleavedScheduleTest, ChunksOneIsPlainOneFOneBPerStage) {
   // k = 1: worker w owns exactly stage w and its op list is the plain 1F1B order.
-  const auto schedule = BuildInterleavedSchedule(/*num_stages=*/2, /*chunks=*/1,
-                                                 /*num_minibatches=*/3);
+  const auto plan = MakeStraightPlan(2, {1});
+  OpListOptions options;
+  options.kind = ScheduleKind::kInterleaved;
+  const auto schedule = StraightLists(options, plan, 3);
   ASSERT_EQ(schedule.size(), 2u);
-  const std::vector<WorkType> stage0 = {WorkType::kForward,  WorkType::kForward,
-                                        WorkType::kBackward, WorkType::kForward,
-                                        WorkType::kBackward, WorkType::kBackward};
-  const std::vector<WorkType> stage1 = {WorkType::kForward, WorkType::kBackward,
-                                        WorkType::kForward, WorkType::kBackward,
-                                        WorkType::kForward, WorkType::kBackward};
-  ASSERT_EQ(schedule[0].size(), stage0.size());
-  ASSERT_EQ(schedule[1].size(), stage1.size());
-  for (size_t i = 0; i < stage0.size(); ++i) {
-    EXPECT_EQ(schedule[0][i].stage, 0);
-    EXPECT_EQ(schedule[0][i].type, stage0[i]) << i;
+  EXPECT_EQ(Types(schedule[0]), Ops("FFBFBB"));
+  EXPECT_EQ(Types(schedule[1]), Ops("FBFBFB"));
+  for (const ScheduleOp& op : schedule[0]) {
+    EXPECT_EQ(op.stage, 0);
   }
-  for (size_t i = 0; i < stage1.size(); ++i) {
-    EXPECT_EQ(schedule[1][i].stage, 1);
-    EXPECT_EQ(schedule[1][i].type, stage1[i]) << i;
+  for (const ScheduleOp& op : schedule[1]) {
+    EXPECT_EQ(op.stage, 1);
   }
 }
 
@@ -231,15 +207,20 @@ TEST(InterleavedScheduleTest, GeneratedListsAreCompleteAndExecutable) {
   const int kChunks = 2;
   const int64_t kMinibatches = 5;
   const int workers = kStages / kChunks;
-  const auto schedule = BuildInterleavedSchedule(kStages, kChunks, kMinibatches);
+  const auto plan = MakeStraightPlan(kStages, {1, 2, 3, 4, 5});
+  OpListOptions options;
+  options.kind = ScheduleKind::kInterleaved;
+  options.chunks = kChunks;
+  const auto schedule = StraightLists(options, plan, kMinibatches);
   ASSERT_EQ(schedule.size(), static_cast<size_t>(workers));
 
   std::vector<int64_t> fwd_count(kStages, 0);
   std::vector<int64_t> bwd_count(kStages, 0);
   for (int w = 0; w < workers; ++w) {
-    for (const ChunkOp& op : schedule[w]) {
+    for (const ScheduleOp& op : schedule[w]) {
       EXPECT_EQ(InterleavedWorkerOfStage(op.stage, workers), w);
-      (op.type == WorkType::kForward ? fwd_count : bwd_count)[op.stage] += 1;
+      ASSERT_NE(op.type, OpType::kFlush);
+      (op.type == OpType::kForward ? fwd_count : bwd_count)[op.stage] += 1;
     }
   }
   for (int s = 0; s < kStages; ++s) {
@@ -256,10 +237,10 @@ TEST(InterleavedScheduleTest, GeneratedListsAreCompleteAndExecutable) {
     progress = false;
     for (int w = 0; w < workers; ++w) {
       while (next[w] < schedule[w].size()) {
-        const ChunkOp& op = schedule[w][next[w]];
+        const ScheduleOp& op = schedule[w][next[w]];
         const int s = op.stage;
         bool ready;
-        if (op.type == WorkType::kForward) {
+        if (op.type == OpType::kForward) {
           ready = s == 0 || fwd_done[s - 1] > fwd_done[s];
         } else {
           ready = s == kStages - 1 ? fwd_done[s] > bwd_done[s]
@@ -268,7 +249,7 @@ TEST(InterleavedScheduleTest, GeneratedListsAreCompleteAndExecutable) {
         if (!ready) {
           break;
         }
-        (op.type == WorkType::kForward ? fwd_done : bwd_done)[s] += 1;
+        (op.type == OpType::kForward ? fwd_done : bwd_done)[s] += 1;
         ++next[w];
         progress = true;
       }

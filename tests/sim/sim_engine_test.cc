@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "src/sim/engine.h"
@@ -99,10 +100,10 @@ TEST(ResourceTimelineTest, SerializesOverlappingAcquisitions) {
 TEST(SimEngineTest, DeterministicAcrossRuns) {
   auto run_once = [] {
     SimEngine engine;
-    int64_t hash = 0;
+    uint64_t hash = 0;  // unsigned: the multiply wraps by design
     for (int i = 0; i < 50; ++i) {
       engine.ScheduleAt(SimTime::Micros(i % 7), [&hash, i, &engine] {
-        hash = hash * 31 + i + engine.now().nanos();
+        hash = hash * 31 + static_cast<uint64_t>(i + engine.now().nanos());
       });
     }
     engine.Run();

@@ -157,6 +157,22 @@ TEST(PipelineSimTest, TraceValidatesForGPipe) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
+TEST(PipelineSimTest, GPipeShortFinalRoundCompletes) {
+  // 10 minibatches in rounds of 4: the last round holds only 2 and must still flush.
+  const auto profile = UniformProfile(8);
+  const auto plan = MakeStraightPlan(8, {2, 4, 6});
+  const auto topo = HardwareTopology::Flat(4, 1e10);
+  SimOptions options;
+  options.schedule = ScheduleKind::kGPipe;
+  options.gpipe_microbatches = 4;
+  options.num_minibatches = 10;
+  options.record_trace = true;
+  const auto result = SimulatePipeline(profile, plan, topo, options);
+  EXPECT_EQ(result.trace.size(), 2u * 4u * 10u);  // every minibatch ran fwd+bwd everywhere
+  const Status status = result.trace.Validate(plan);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 TEST(PipelineSimTest, StashDepthMatchesStartupDepth) {
   const auto profile = UniformProfile(8);
   const auto plan = MakeStraightPlan(8, {2, 4, 6});

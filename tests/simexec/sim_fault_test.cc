@@ -77,6 +77,34 @@ TEST(SimFaultTest, RestartRecoveryCostsDetectionRestartAndReexecution) {
             0.5 * clean.throughput_samples_per_sec);
 }
 
+TEST(SimFaultTest, InterleavedRestartRegeneratesTheOpLists) {
+  // 4 chunk-stages interleaved over 2 physical workers (k = 2). The restart rebuilds every
+  // worker's op list from the rolled-back minibatch, so the run still completes.
+  const auto profile = UniformProfile(8);
+  const auto plan = MakeStraightPlan(8, {2, 4, 6});
+  const auto topo = HardwareTopology::Flat(4, 1e12);
+  SimOptions options;
+  options.schedule = ScheduleKind::kInterleaved;
+  options.interleave_chunks = 2;
+  options.num_minibatches = 200;
+  const auto clean = SimulatePipeline(profile, plan, topo, options);
+
+  options.fault.enabled = true;
+  options.fault.stage = 2;  // a chunk of physical worker 0
+  options.fault.at_minibatch = 130;
+  options.fault.checkpoint_every = 100;
+  const auto faulty = SimulatePipeline(profile, plan, topo, options);
+
+  EXPECT_GE(faulty.fault_seconds, 0.0);
+  EXPECT_NEAR(faulty.recovery_seconds - faulty.fault_seconds,
+              options.fault.detection_seconds + options.fault.restart_seconds, 1e-9);
+  EXPECT_GT(faulty.reexecuted_minibatches, 0);
+  EXPECT_LT(faulty.reexecuted_minibatches, options.fault.checkpoint_every);
+  EXPECT_GT(faulty.total_seconds, clean.total_seconds + options.fault.detection_seconds +
+                                      options.fault.restart_seconds);
+  EXPECT_GT(faulty.post_recovery_throughput_samples_per_sec, 0.0);
+}
+
 TEST(SimFaultTest, EarlierCheckpointsMeanMoreReexecution) {
   const auto profile = UniformProfile(8);
   const auto plan = MakeStraightPlan(8, {2, 4, 6});
