@@ -98,7 +98,12 @@ AspEpochStats AspTrainer::TrainEpoch() {
 
   auto worker_fn = [&](int worker) {
     MinibatchLoader loader(dataset_, batch_size_, seed_);
-    auto local = shared_model_->Clone();
+    // Under mutex_: other workers' gradients are being applied to the shared tensors.
+    std::unique_ptr<Sequential> local;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      local = shared_model_->Clone();
+    }
     const std::vector<Parameter*> local_params = local->Params();
     Tensor x;
     Tensor y;

@@ -243,7 +243,8 @@ class PipelineTrainer {
   void RunWorker(const std::vector<StageRuntime*>& owned, const std::vector<ScheduleOp>& ops,
                  StageRuntime** current);
 
-  // Checksums + injects + routes one boundary message (called from worker threads).
+  // Checksums + injects + routes one boundary message (called from worker threads after
+  // the op's compute timer closes), timed into runtime/stage<N>/send_seconds.
   void Send(StageRuntime* from, int dest_stage, PipeMessage message);
 
   // Records a failure, flips the abort flag, and wakes every blocked worker. `rt` is null

@@ -4,6 +4,8 @@
 #include "src/data/dataset.h"
 #include "src/graph/loss.h"
 #include "src/graph/models.h"
+#include "src/obs/health.h"
+#include "src/obs/metrics.h"
 #include "src/optim/adam.h"
 #include "src/optim/sgd.h"
 #include "src/runtime/pipeline_trainer.h"
@@ -133,6 +135,33 @@ TEST(PipelineTrainerTest, FourStagePipelineCompletesManyEpochs) {
     EXPECT_EQ(stats.minibatches, trainer.batches_per_epoch());
   }
   EXPECT_EQ(trainer.epochs_completed(), 5);
+}
+
+// Checksum + send is booked apart from layer compute: every boundary message a stage sends
+// is one runtime/stage<N>/send_seconds observation, and the histogram is on /metrics.
+TEST(PipelineTrainerTest, SendTimeHasItsOwnHistogram) {
+  const Dataset data = MakeGaussianMixture(4, 8, 64, 0.3, 11);
+  Rng rng(1);
+  const auto model = BuildMlpClassifier(8, {16}, 4, &rng);
+  const auto plan = MakeStraightPlan(static_cast<int>(model->size()), {2});
+  SoftmaxCrossEntropy loss;
+  Sgd sgd(0.1);
+  PipelineTrainer trainer(*model, plan, &loss, sgd, &data, 16, 3);
+  obs::Histogram* send0 = obs::GetHistogram("runtime/stage0/send_seconds");
+  obs::Histogram* send1 = obs::GetHistogram("runtime/stage1/send_seconds");
+  obs::Histogram* fwd1 = obs::GetHistogram("runtime/stage1/fwd_seconds");
+  const int64_t send0_before = send0->snapshot().count();
+  const int64_t send1_before = send1->snapshot().count();
+  const int64_t fwd1_before = fwd1->snapshot().count();
+  const auto stats = trainer.TrainEpoch();
+  // Stage 0 sends each activation forward; the output stage hands itself the loss gradient
+  // and then sends the input gradient back.
+  EXPECT_EQ(send0->snapshot().count() - send0_before, stats.minibatches);
+  EXPECT_EQ(send1->snapshot().count() - send1_before, 2 * stats.minibatches);
+  EXPECT_EQ(fwd1->snapshot().count() - fwd1_before, stats.minibatches);
+  const std::string body = obs::HealthServer::Handle("/metrics").body;
+  EXPECT_NE(body.find("pipedream_runtime_stage0_send_seconds"), std::string::npos);
+  EXPECT_NE(body.find("pipedream_runtime_stage1_send_seconds"), std::string::npos);
 }
 
 }  // namespace
