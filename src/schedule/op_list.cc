@@ -9,6 +9,25 @@ namespace pipedream {
 
 namespace {
 
+// 1F1B startup depth of `stage` under a pipeline-depth override: at most
+// depth_override - stage, and no deeper than its upstream stages can feed. A stage with R
+// replicas at depth d needs minibatch (d - 1) * R before its first backward, while an
+// upstream stage with R' replicas at depth d' admits only minibatches below d' * R' until
+// a backward returns to it; so every upstream stage needs (d - 1) * R < d' * R'. The
+// startup depths and every straight pipeline already satisfy this; it binds only where a
+// replicated stage sits downstream of a narrower window.
+int OverrideDepth(const PipelinePlan& plan, int stage, int depth_override) {
+  int fed = std::numeric_limits<int>::max();  // min over upstream stages of d' * R'
+  int depth = 0;
+  for (int s = 0; s <= stage; ++s) {
+    const int replicas = plan.stage(s).replicas;
+    const int feedable = s == 0 ? fed : (fed + replicas - 1) / replicas;  // ceil(fed / R)
+    depth = std::max(1, std::min({StartupDepth(plan, s), depth_override - s, feedable}));
+    fed = std::min(fed, depth * replicas);
+  }
+  return depth;
+}
+
 // One replica of `stage` running `quota` minibatches under `options.kind`.
 std::vector<OpType> StageReplicaOps(const OpListOptions& options, const PipelinePlan& plan,
                                     int stage, int64_t quota) {
@@ -24,10 +43,9 @@ std::vector<OpType> StageReplicaOps(const OpListOptions& options, const Pipeline
     case ScheduleKind::kInterleaved:
       break;
   }
-  int depth = StartupDepth(plan, stage);
-  if (options.depth_override > 0) {
-    depth = std::max(1, std::min(depth, options.depth_override - stage));
-  }
+  const int depth = options.depth_override > 0
+                        ? OverrideDepth(plan, stage, options.depth_override)
+                        : StartupDepth(plan, stage);
   return ReplicaOps(depth, std::max<int64_t>(quota, 1), quota, /*flush=*/false);
 }
 

@@ -58,7 +58,9 @@ struct OpListOptions {
   ScheduleKind kind = ScheduleKind::kOneFOneB;
   int round_size = 4;      // kGPipe / kPipeDreamFlush minibatches per flush round
   int chunks = 1;          // kInterleaved chunk-stages per physical worker
-  int depth_override = 0;  // 1F1B: caps stage s's depth at depth_override - s; 0 = off
+  // 1F1B: caps stage s's depth at depth_override - s and at what its upstream stages can
+  // feed (a replicated stage needs a wider window than its own depth); 0 = off.
+  int depth_override = 0;
 };
 
 // Physical worker hosting chunk-stage `stage` when `num_workers` workers interleave.

@@ -121,6 +121,38 @@ TEST(OpListTest, DepthOverrideCapsEveryStage) {
   EXPECT_EQ(Types(lists[2]), Ops("FBFBFB"));
 }
 
+TEST(OpListTest, DepthOverrideShallowsAReplicatedStageToWhatUpstreamFeeds) {
+  // Replicas 1-3-1-3 under override 4: the input stage admits minibatches 0-3 before its
+  // first backward, so a 3-replica stage 1 can warm up only 2 deep (replica 0 needs ids 0
+  // and 3); min(StartupDepth, 4 - s) alone would give 3 and wait forever for id 6. Stage 2
+  // is capped at 4 - 2 = 2, and its window of 2 leaves stage 3 one deep.
+  const auto plan = MakePlanFromShape({{1, 1}, {1, 3}, {1, 1}, {1, 3}});
+  const std::vector<std::vector<int64_t>> quotas = {{6}, {2, 2, 2}, {6}, {2, 2, 2}};
+  OpListOptions options;
+  options.kind = ScheduleKind::kOneFOneB;
+  options.depth_override = 4;
+  const auto lists = BuildOpLists(options, plan, quotas);
+  ASSERT_EQ(lists.size(), 8u);
+  EXPECT_EQ(Types(lists[0]), Ops("FFFFBFBFBBBB"));
+  for (size_t r = 1; r <= 3; ++r) {
+    EXPECT_EQ(Types(lists[r]), Ops("FFBB")) << r;
+  }
+  EXPECT_EQ(Types(lists[4]), Ops("FFBFBFBFBFBB"));
+  for (size_t r = 5; r <= 7; ++r) {
+    EXPECT_EQ(Types(lists[r]), Ops("FBFB")) << r;
+  }
+
+  // An override at or past every startup depth leaves the lists as they are without one.
+  options.depth_override = 8;
+  const auto wide = BuildOpLists(options, plan, quotas);
+  options.depth_override = 0;
+  const auto natural = BuildOpLists(options, plan, quotas);
+  ASSERT_EQ(wide.size(), natural.size());
+  for (size_t i = 0; i < wide.size(); ++i) {
+    EXPECT_EQ(Types(wide[i]), Types(natural[i])) << i;
+  }
+}
+
 TEST(OpListTest, ReplicatedStagesGetOneListPerReplicaQuota) {
   // 1F1B-RR on the 2-1 configuration: input replicas split 5 minibatches 3 / 2 and warm up
   // 2 deep; the output stage runs all 5 at depth 1.
